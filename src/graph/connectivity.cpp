@@ -13,14 +13,6 @@ namespace {
 
 constexpr int kInf = 1 << 29;
 
-/// One flow arena per thread (sweeps run one simulator per thread), shared
-/// by the pair-at-a-time and batched paths so the κ checks reuse buffers
-/// instead of reallocating them per flow.
-MaxFlow& flow_arena() {
-  thread_local MaxFlow arena;
-  return arena;
-}
-
 /// Builds the vertex-split flow network and returns the flow value from
 /// `from` to `to`, capped at `limit`.
 int split_graph_flow(const Digraph& g, std::size_t from, std::size_t to,
@@ -28,7 +20,7 @@ int split_graph_flow(const Digraph& g, std::size_t from, std::size_t to,
   if (limit <= 0) return 0;
   const std::size_t n = g.vertex_count();
   // Node 2v = v_in, 2v+1 = v_out.
-  MaxFlow& flow = flow_arena();
+  MaxFlow& flow = thread_flow_arena();
   flow.reset(2 * n);
   for (std::size_t v = 0; v < n; ++v) {
     const int cap = (v == from || v == to) ? kInf : 1;
@@ -53,7 +45,7 @@ int split_graph_flow(const Digraph& g, std::size_t from, std::size_t to,
 /// which split_graph_flow caps at 1 deliberately.
 class BatchedSplitFlow {
  public:
-  explicit BatchedSplitFlow(const Digraph& g) : flow_(flow_arena()) {
+  explicit BatchedSplitFlow(const Digraph& g) : flow_(thread_flow_arena()) {
     const std::size_t n = g.vertex_count();
     flow_.reset(2 * n);
     for (std::size_t v = 0; v < n; ++v) flow_.add_edge(2 * v, 2 * v + 1, 1);

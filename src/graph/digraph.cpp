@@ -35,10 +35,12 @@ bool Digraph::add_edge(ProcessId from, ProcessId to) {
 
 void Digraph::add_edge_unchecked(ProcessId from, ProcessId to) {
   if (from == to) return;
-  const std::size_t u = index_.find(from)->second;
-  const std::size_t v = index_.find(to)->second;
-  out_[u].push_back(v);
-  in_[v].push_back(u);
+  add_edge_unchecked(index_.find(from)->second, index_.find(to)->second);
+}
+
+void Digraph::add_edge_unchecked(std::size_t from, std::size_t to) {
+  out_[from].push_back(to);
+  in_[to].push_back(from);
   ++edge_count_;
 }
 

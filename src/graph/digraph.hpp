@@ -36,6 +36,9 @@ class Digraph {
   /// endpoints must already be vertices.
   void add_edge_unchecked(ProcessId from, ProcessId to);
 
+  /// add_edge_unchecked by dense indices (from != to; no self-loop check).
+  void add_edge_unchecked(std::size_t from, std::size_t to);
+
   [[nodiscard]] bool has_vertex(ProcessId id) const;
   [[nodiscard]] bool has_edge(ProcessId from, ProcessId to) const;
 

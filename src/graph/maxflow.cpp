@@ -1,7 +1,6 @@
 #include "graph/maxflow.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 namespace bftcup::graph {
@@ -30,16 +29,18 @@ std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to, int capacity) {
 
 bool MaxFlow::bfs(std::size_t s, std::size_t t) {
   level_.assign(node_count_, -1);
-  std::deque<std::size_t> queue{s};
+  // Every node is enqueued at most once, so a head index over a reused
+  // vector is a FIFO without per-phase allocation.
+  queue_.clear();
+  queue_.push_back(s);
   level_[s] = 0;
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::size_t u = queue_[head];
     for (std::size_t e : adj_[u]) {
       const Edge& edge = edges_[e];
       if (edge.capacity > 0 && level_[edge.to] < 0) {
         level_[edge.to] = level_[u] + 1;
-        queue.push_back(edge.to);
+        queue_.push_back(edge.to);
       }
     }
   }
@@ -78,6 +79,11 @@ int MaxFlow::run(std::size_t s, std::size_t t, int limit) {
 
 int MaxFlow::flow_on(std::size_t e) const {
   return edges_[e].original - edges_[e].capacity;
+}
+
+MaxFlow& thread_flow_arena() {
+  thread_local MaxFlow arena;
+  return arena;
 }
 
 }  // namespace bftcup::graph

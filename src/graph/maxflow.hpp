@@ -59,6 +59,12 @@ class MaxFlow {
   std::vector<std::vector<std::size_t>> adj_;
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
+  std::vector<std::size_t> queue_;  ///< BFS frontier, reused across phases
 };
+
+/// One flow arena per thread (a simulator runs on one thread; WorkPool
+/// workers each get their own), shared by every κ computation so the
+/// per-pair flows reuse buffers instead of reallocating them.
+[[nodiscard]] MaxFlow& thread_flow_arena();
 
 }  // namespace bftcup::graph

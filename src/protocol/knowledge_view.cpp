@@ -1,6 +1,7 @@
 #include "protocol/knowledge_view.hpp"
 
 #include "common/bitset64.hpp"
+#include "obs/span_tracer.hpp"
 #include "protocol/eval_cache.hpp"
 
 namespace bftcup::protocol {
@@ -69,9 +70,24 @@ graph::Digraph KnowledgeView::knowledge_graph() const {
   return g;
 }
 
+graph::Digraph KnowledgeView::received_graph() const {
+  // pds_ is keyed by received_, so owners arrive in vertex-index order.
+  graph::Digraph g(received_);
+  std::size_t owner = 0;
+  for (const auto& [id, pd] : pds_) {
+    for (ProcessId target : pd) {
+      if (target == id) continue;
+      if (const auto to = g.index_of(target)) g.add_edge_unchecked(owner, *to);
+    }
+    ++owner;
+  }
+  return g;
+}
+
 const KnowledgeView::SccSnapshot& KnowledgeView::received_scc_snapshot() const {
   if (snapshot_revision_ != revision_) {
-    snapshot_.received_graph = knowledge_graph().induced(received_);
+    const obs::ScopedSpan span("membership.received_graph", received_.size());
+    snapshot_.received_graph = received_graph();
     snapshot_.sccs = graph::strongly_connected_components(snapshot_.received_graph);
     snapshot_revision_ = revision_;
   }

@@ -71,11 +71,16 @@ class KnowledgeView {
   /// process cannot use out-edges it has not seen evidence for.
   [[nodiscard]] graph::Digraph knowledge_graph() const;
 
-  /// K restricted to S_received plus its SCC decomposition — the structure
-  /// every candidate search starts from. Rebuilt lazily at the current
-  /// revision and cached; construction matches
-  /// knowledge_graph().induced(received()) bit-for-bit, so SCC enumeration
-  /// order (and therefore candidate order) is identical to an uncached run.
+  /// K[S_received], built in one pass: vertices in ascending id order, each
+  /// received PD's targets in order with self-loops and non-received
+  /// targets dropped. Equal to knowledge_graph().induced(received()) down
+  /// to vertex indices and adjacency order, so SCC enumeration order (and
+  /// therefore candidate order) is the same, without building the full K.
+  [[nodiscard]] graph::Digraph received_graph() const;
+
+  /// received_graph() plus its SCC decomposition — the structure every
+  /// candidate search starts from. Rebuilt lazily at the current revision
+  /// and cached.
   struct SccSnapshot {
     graph::Digraph received_graph;
     graph::SccResult sccs;

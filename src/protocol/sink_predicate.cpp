@@ -9,6 +9,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/scc.hpp"
 #include "protocol/eval_cache.hpp"
+#include "protocol/split_kernel.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -200,8 +201,8 @@ bool is_sink(const KnowledgeView& view, std::size_t f, const IdSet& s1,
 
 namespace {
 
-/// The κ + split computation proper; callers have already handled the
-/// not-fully-received early-out. `probe_words` optionally backs the
+/// The reference κ + split computation, for S1s too large for a
+/// SplitKernel (big-SCC certification). `probe_words` optionally backs the
 /// adaptive S1 probe with reusable (arena) storage.
 EvalScratch::SplitMemo compute_thresholds(
     const KnowledgeView& view, const IdSet& s1,
@@ -223,12 +224,32 @@ EvalScratch::SplitMemo compute_thresholds(
   return out;
 }
 
+/// Routes one fully received, non-empty S1 by size: a singleton has κ = 0
+/// and no split; up to SplitKernel::kMaxMembers members go onto the SCC's
+/// kernel when it covers the SCC, else onto a kernel of S1's own; larger
+/// S1s take the reference computation.
+EvalScratch::SplitMemo compute_splits(
+    const KnowledgeView& view, const IdSet& s1, LazySplitKernel* scc_kernel,
+    std::pmr::vector<std::uint64_t>* probe_words) {
+  if (s1.size() < 2) return {};
+  if (s1.size() > SplitKernel::kMaxMembers) {
+    return compute_thresholds(view, s1, probe_words);
+  }
+  if (const SplitKernel* kernel =
+          scc_kernel != nullptr ? scc_kernel->get() : nullptr) {
+    return kernel->evaluate(kernel->mask_of(s1));
+  }
+  const SplitKernel own(view, s1);
+  return own.evaluate((std::uint64_t{1} << s1.size()) - 1);
+}
+
 }  // namespace
 
 std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
-                                                   const IdSet& s1) {
+                                                   const IdSet& s1,
+                                                   LazySplitKernel* scc_kernel) {
   if (s1.empty() || !s1.is_subset_of(view.received())) return {};
-  return compute_thresholds(view, s1, nullptr).splits;
+  return compute_splits(view, s1, scc_kernel, nullptr).splits;
 }
 
 const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
@@ -238,7 +259,7 @@ const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
 
 const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
     const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local) {
+    EvalScratch& local, LazySplitKernel* scc_kernel) {
   static const std::vector<AdmissibleSplit> kEmpty;
   // A not-fully-received S1 has no splits but may gain some later; it must
   // not be stored (the memo has no invalidation by design).
@@ -255,7 +276,7 @@ const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
   }
   ++local.stats.split_misses;
   return local.splits
-      .emplace(s1, compute_thresholds(view, s1, &local.probe_words))
+      .emplace(s1, compute_splits(view, s1, scc_kernel, &local.probe_words))
       .first->second.splits;
 }
 
@@ -268,11 +289,15 @@ std::optional<std::size_t> is_sink_star(const KnowledgeView& view,
   // Release-build backstop for the assert above: a 64-bit mask cannot
   // enumerate 2^64 subsets, and shifting by >= 64 is UB. Such a candidate
   // cannot be evaluated — report "not a sink" instead of corrupting memory.
-  if (n >= 64) return std::nullopt;
+  // An empty base has no S1 at all.
+  if (n == 0 || n > SplitKernel::kMaxMembers) return std::nullopt;
 
+  const SplitKernel kernel(view, base);
   std::optional<std::size_t> best;
   // Enumerate S1 ⊆ S ∩ S_received (non-empty).
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+    const EvalScratch::SplitMemo memo = kernel.evaluate(mask);
+    if (memo.splits.empty()) continue;
     IdSet s1;
     s1.reserve(static_cast<std::size_t>(std::popcount(mask)));
     for (std::size_t b = 0; b < n; ++b) {
@@ -280,7 +305,7 @@ std::optional<std::size_t> is_sink_star(const KnowledgeView& view,
     }
     // The split must cover S exactly: S2 = S \ S1 is forced.
     const IdSet wanted_s2 = s.set_difference(s1);
-    for (const AdmissibleSplit& split : admissible_thresholds(view, s1)) {
+    for (const AdmissibleSplit& split : memo.splits) {
       if (split.s2 == wanted_s2) {
         if (!best || split.g > *best) best = split.g;
       }

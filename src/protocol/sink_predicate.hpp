@@ -15,6 +15,8 @@
 
 namespace bftcup::protocol {
 
+class LazySplitKernel;  // protocol/split_kernel.hpp
+
 /// Evaluates isSink(f, S1, ·) against `view`, deriving S2.
 /// Returns the derived S2 when all of Theorem 3's properties hold:
 ///   P1: |S1| >= 2f+1 and S1 ⊆ S_received,
@@ -35,13 +37,18 @@ namespace bftcup::protocol {
 /// k_Gdi(S) is then f_Gdi(S) + 1.
 ///
 /// Exhaustive over S1 ⊆ S ∩ S_received; |S ∩ S_received| must be <= 24
-/// (asserted) — ample for sink components, which are small by design.
+/// (asserted) — ample for sink components, which are small by design. Every
+/// S1 is a mask over one SplitKernel of S ∩ S_received.
 [[nodiscard]] std::optional<std::size_t> is_sink_star(
     const KnowledgeView& view, const IdSet& s);
 
 /// All admissible fault thresholds g for a fixed S1 (ascending), with the S2
 /// derived for each. Shared by the search strategies: for one S1, κ is
-/// computed once and every g in [0, κ-1] is tested cheaply.
+/// computed once and every g in [0, κ-1] is tested cheaply. An S1 of at
+/// most SplitKernel::kMaxMembers members is evaluated on `scc_kernel` — the
+/// lazily built kernel of an SCC containing S1 — when one is given and
+/// covers the SCC, else on a SplitKernel of S1's own; a larger S1 on the
+/// reference induced-graph path.
 struct AdmissibleSplit {
   std::size_t g;
   IdSet s2;
@@ -50,7 +57,8 @@ struct AdmissibleSplit {
                          const AdmissibleSplit&) = default;
 };
 [[nodiscard]] std::vector<AdmissibleSplit> admissible_thresholds(
-    const KnowledgeView& view, const IdSet& s1);
+    const KnowledgeView& view, const IdSet& s1,
+    LazySplitKernel* scc_kernel = nullptr);
 
 /// Memoized variant backed by the view's EvalScratch: splits (and κ) for an
 /// all-received S1 are pure functions of its members' immutable PDs, so the
@@ -66,9 +74,11 @@ struct AdmissibleSplit {
 /// pad); misses are computed into `local`, never into `shared`. The caller
 /// merges the pads back into the view memo after the join, in worker-index
 /// order. With `shared == nullptr` and `local` = the view's scratch this is
-/// exactly admissible_thresholds_memo (the serial path delegates here).
+/// exactly admissible_thresholds_memo (the serial path delegates here). A
+/// miss is computed as admissible_thresholds computes it, `scc_kernel`
+/// included.
 [[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
     const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local);
+    EvalScratch& local, LazySplitKernel* scc_kernel = nullptr);
 
 }  // namespace bftcup::protocol

@@ -10,6 +10,7 @@
 #include "common/work_pool.hpp"
 #include "obs/span_tracer.hpp"
 #include "protocol/eval_cache.hpp"
+#include "protocol/split_kernel.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -55,17 +56,19 @@ struct EvalPads {
 
 /// Appends every admissible split of `s1` as a candidate. Shared by the cold
 /// and incremental paths; `pads` routes the split computation through the
-/// per-S1 memo tiers (see EvalPads).
+/// per-S1 memo tiers (see EvalPads), and splits the memos do not answer are
+/// computed on `kernel`, the lazily built kernel of the SCC `s1` lies in.
 void collect_candidates_for(const KnowledgeView& view, const EvalPads& pads,
-                            const IdSet& s1, std::vector<SinkCandidate>& out) {
+                            LazySplitKernel& kernel, const IdSet& s1,
+                            std::vector<SinkCandidate>& out) {
   if (pads.local != nullptr) {
-    for (const AdmissibleSplit& split :
-         admissible_thresholds_padded(view, s1, pads.shared, *pads.local)) {
+    for (const AdmissibleSplit& split : admissible_thresholds_padded(
+             view, s1, pads.shared, *pads.local, &kernel)) {
       out.push_back({s1, split.s2, split.g});
     }
     return;
   }
-  for (AdmissibleSplit& split : admissible_thresholds(view, s1)) {
+  for (AdmissibleSplit& split : admissible_thresholds(view, s1, &kernel)) {
     out.push_back({s1, std::move(split.s2), split.g});
   }
 }
@@ -80,6 +83,7 @@ void enumerate_exhaustive(const KnowledgeView& view, const EvalPads& pads,
                           const IdSet& scc, std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
+  LazySplitKernel kernel(view, scc);
   IdSet s1;
   s1.reserve(n);
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
@@ -88,7 +92,7 @@ void enumerate_exhaustive(const KnowledgeView& view, const EvalPads& pads,
       // ids is sorted, so these inserts are ordered appends.
       if (mask & (std::uint64_t{1} << b)) s1.insert(ids[b]);
     }
-    collect_candidates_for(view, pads, s1, out);
+    collect_candidates_for(view, pads, kernel, s1, out);
   }
 }
 
@@ -100,8 +104,9 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
   const std::size_t cap = std::min(removal_cap, n - 1);
+  LazySplitKernel kernel(view, scc);
 
-  collect_candidates_for(view, pads, scc, out);
+  collect_candidates_for(view, pads, kernel, scc, out);
   for (std::size_t d = 1; d <= cap; ++d) {
     std::vector<std::size_t> combo(d);
     for (std::size_t i = 0; i < d; ++i) combo[i] = i;
@@ -109,7 +114,7 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
     while (more) {
       IdSet s1 = scc;
       for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, pads, s1, out);
+      collect_candidates_for(view, pads, kernel, s1, out);
 
       // Advance to the next d-combination of {0..n-1}.
       more = false;
@@ -128,11 +133,13 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
 /// SCCs of the knowledge graph restricted to processes with received PDs —
 /// any strongly connected S1 (P2 needs κ >= 1) is a subset of one of these.
 /// Shared by the cold path and churn-suspended incremental evaluations;
-/// the snapshot the warm incremental path reads is built from the
-/// identical construction, so enumeration order matches bit-for-bit.
+/// the snapshot the warm incremental path reads is built from the same
+/// KnowledgeView::received_graph(), so enumeration order matches
+/// bit-for-bit.
 std::vector<IdSet> received_sccs(const KnowledgeView& view) {
-  const graph::Digraph k = view.knowledge_graph().induced(view.received());
-  return graph::strongly_connected_components(k).members;
+  const obs::ScopedSpan span("membership.received_graph",
+                             view.received().size());
+  return graph::strongly_connected_components(view.received_graph()).members;
 }
 
 /// Fans `jobs` (dirty SCCs at or below the big-SCC threshold, paired with
@@ -379,7 +386,8 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
 void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
                        const IdSet& scc, std::size_t removal_cap,
                        std::size_t samples, std::vector<SinkCandidate>& out) {
-  collect_candidates_for(view, pads, scc, out);
+  LazySplitKernel kernel(view, scc);
+  collect_candidates_for(view, pads, kernel, scc, out);
   if (samples == 0) return;
 
   const auto& ids = scc.values();
@@ -418,10 +426,12 @@ void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
   WorkPool* wp = usable_work_pool();
   if (wp == nullptr || wp->workers() <= 1 || sample_s1s.size() <= 1) {
     for (const IdSet& s1 : sample_s1s) {
-      collect_candidates_for(view, pads, s1, out);
+      collect_candidates_for(view, pads, kernel, s1, out);
     }
     return;
   }
+  // Workers share the kernel read-only: it must exist before the dispatch.
+  (void)kernel.get();
   const std::size_t workers = wp->workers();
   std::vector<std::vector<SinkCandidate>> slots(sample_s1s.size());
   std::vector<EvalScratch> worker_pads(pads.local != nullptr ? workers : 0);
@@ -433,7 +443,8 @@ void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
                 pads.local != nullptr ? &worker_pads[worker] : nullptr,
                 shared};
             for (std::size_t j = begin; j < end; ++j) {
-              collect_candidates_for(view, eval_pads, sample_s1s[j], slots[j]);
+              collect_candidates_for(view, eval_pads, kernel, sample_s1s[j],
+                                     slots[j]);
             }
           });
   if (pads.local != nullptr) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/random.hpp"
 #include "graph/figures.hpp"
+#include "graph/scc.hpp"
 #include "protocol/knowledge_view.hpp"
 
 namespace bftcup::protocol {
@@ -73,6 +77,63 @@ TEST(KnowledgeViewTest, OmniscientMatchesGraph) {
   }
   // Knowledge graph reconstructs the original.
   EXPECT_EQ(view.knowledge_graph(), inst.graph);
+}
+
+/// Same vertex indices, same adjacency order, both directions — what SCC
+/// enumeration order (and therefore candidate order) depends on.
+void expect_identical_graphs(const graph::Digraph& a, const graph::Digraph& b) {
+  ASSERT_EQ(a.vertex_count(), b.vertex_count());
+  EXPECT_EQ(a.edge_count(), b.edge_count());
+  for (std::size_t v = 0; v < a.vertex_count(); ++v) {
+    EXPECT_EQ(a.id_of(v), b.id_of(v));
+    EXPECT_EQ(a.out(v), b.out(v));
+    EXPECT_EQ(a.in(v), b.in(v));
+  }
+}
+
+TEST(KnowledgeViewTest, ReceivedGraphMatchesInducedKnowledgeGraph) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::uint64_t ids = 4 + rng.next_below(20);
+    const auto random_pd = [&] {
+      IdSet pd;
+      // Ids past `ids` are never sent a PD for: known, never received.
+      for (std::uint64_t t = 1; t <= ids + 3; ++t) {
+        if (rng.chance(0.3)) pd.insert(p(t));
+      }
+      return pd;
+    };
+    std::map<ProcessId, IdSet> first_pd{{p(1), random_pd()}};
+    KnowledgeView view(p(1), first_pd[p(1)]);
+    for (int step = 0; step < 30; ++step) {
+      // Re-adds of an already received owner — equivocations — must be
+      // ignored by both constructions.
+      const ProcessId owner = p(1 + rng.next_below(ids));
+      const IdSet pd = random_pd();
+      first_pd.emplace(owner, pd);
+      view.add_pd(owner, pd);
+      if (rng.chance(0.2)) view.add_known(p(ids + 10 + rng.next_below(5)));
+
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const graph::Digraph induced =
+          view.knowledge_graph().induced(view.received());
+      expect_identical_graphs(view.received_graph(), induced);
+      const graph::SccResult expected =
+          graph::strongly_connected_components(induced);
+      const auto& snapshot = view.received_scc_snapshot();
+      expect_identical_graphs(snapshot.received_graph, induced);
+      EXPECT_EQ(snapshot.sccs.members, expected.members);
+      EXPECT_EQ(snapshot.sccs.component, expected.component);
+    }
+    // Edges come from each owner's first PD only.
+    const graph::Digraph received = view.received_graph();
+    for (const auto& [owner, pd] : first_pd) {
+      IdSet expected = pd.set_intersection(view.received());
+      expected.erase(owner);
+      EXPECT_EQ(received.out_neighbors(owner), expected);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/random.hpp"
 #include "graph/figures.hpp"
 #include "graph/generators.hpp"
 #include "protocol/sink.hpp"
@@ -71,6 +72,32 @@ TEST(ExhaustiveSearchTest, OversizedSccTakesCertificationPath) {
   }
   // No subsets beyond the sampled C \ D family sneak in at higher g.
   for (const SinkCandidate& c : candidates) EXPECT_LE(c.g, 3U);
+}
+
+TEST(ExhaustiveSearchTest, SampledSccSharesOneKernelAcrossWorkers) {
+  // A 20-member component above exhaustive_cap but within a split kernel:
+  // its C \ D samples fan out over workers that all read the one kernel
+  // of C. Candidates must equal the serial ones, cold and incremental.
+  Rng rng(17);
+  graph::Digraph g;
+  for (std::uint64_t a = 1; a <= 20; ++a) {
+    g.add_edge(p(a), p(a % 20 + 1));  // a ring keeps it strongly connected
+    for (std::uint64_t b = 1; b <= 20; ++b) {
+      if (a != b && rng.chance(0.6)) g.add_edge(p(a), p(b));
+    }
+    g.add_edge(p(a), p(100 + a % 3));  // targets outside the component
+  }
+  const KnowledgeView view = KnowledgeView::omniscient(g);
+  for (bool incremental : {false, true}) {
+    SearchOptions options;
+    options.exhaustive_cap = 4;
+    options.incremental = incremental;
+    const auto serial = ExhaustiveSinkSearch(options).candidates(view);
+    ASSERT_FALSE(serial.empty());
+    options.parallel_eval = 4;
+    EXPECT_EQ(ExhaustiveSinkSearch(options).candidates(view), serial)
+        << "incremental=" << incremental;
+  }
 }
 
 TEST(StructuredSearchTest, FindsWholeSccCandidates) {
