@@ -42,17 +42,26 @@ inline constexpr std::size_t kWordBits = 64;
   return (bits + kWordBits - 1) / kWordBits;
 }
 
+// The word-run popcounts are cloned for the popcnt instruction and picked
+// at load time (ifunc): a portable build otherwise lowers std::popcount to a
+// libgcc call per word. Both clones compute the same counts.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define BFTCUP_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#else
+#define BFTCUP_POPCNT_CLONES
+#endif
+
 /// popcount over a word run.
-[[nodiscard]] inline std::size_t count(const std::uint64_t* w, std::size_t n) {
+[[nodiscard]] BFTCUP_POPCNT_CLONES inline std::size_t count(
+    const std::uint64_t* w, std::size_t n) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) total += std::popcount(w[i]);
   return total;
 }
 
 /// |a ∩ b| without materializing the intersection.
-[[nodiscard]] inline std::size_t intersect_count(const std::uint64_t* a,
-                                                 const std::uint64_t* b,
-                                                 std::size_t n) {
+[[nodiscard]] BFTCUP_POPCNT_CLONES inline std::size_t intersect_count(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) total += std::popcount(a[i] & b[i]);
   return total;

@@ -36,10 +36,11 @@ const Bytes& view_canonical(const KnowledgeView& view) {
     // Length-framed, sorted-order serialization: injective on view
     // contents, so byte equality is view equality.
     append_id_set(out, view.known());
-    append_u64(out, view.pds().size());
-    for (const auto& [owner, pd] : view.pds()) {
-      append_u64(out, owner.raw());
-      append_id_set(out, pd);
+    const IdSet& owners = view.received();
+    append_u64(out, owners.size());
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      append_u64(out, owners.values()[i].raw());
+      append_id_set(out, view.pd_at(i));
     }
     scratch.canon_revision = view.revision();
   }

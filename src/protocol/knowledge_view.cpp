@@ -1,5 +1,7 @@
 #include "protocol/knowledge_view.hpp"
 
+#include <algorithm>
+
 #include "common/bitset64.hpp"
 #include "obs/span_tracer.hpp"
 #include "protocol/eval_cache.hpp"
@@ -27,7 +29,7 @@ KnowledgeView& KnowledgeView::operator=(const KnowledgeView& other) {
   // Content may have changed entirely; drop the derived state rather than
   // inherit the source's (copies may diverge — see header).
   snapshot_revision_ = kNoRevision;
-  snapshot_ = SccSnapshot{};
+  snapshot_ = graph::SccResult{};
   scratch_.reset();
   return *this;
 }
@@ -41,8 +43,11 @@ KnowledgeView::KnowledgeView(ProcessId self, const IdSet& own_pd) {
 bool KnowledgeView::add_pd(ProcessId owner, const IdSet& pd) {
   bool changed = known_.insert(owner);
   changed |= known_.insert_all(pd) > 0;
-  if (!pds_.contains(owner)) {
-    pds_.emplace(owner, pd);
+  const auto& owners = received_.values();
+  const auto at = std::lower_bound(owners.begin(), owners.end(), owner);
+  if (at == owners.end() || *at != owner) {
+    // Same slot received_.insert picks, so the table stays parallel.
+    pds_.insert(pds_.begin() + (at - owners.begin()), pd);
     received_.insert(owner);
     changed = true;
   }
@@ -57,38 +62,45 @@ bool KnowledgeView::add_known(ProcessId id) {
 }
 
 const IdSet* KnowledgeView::pd_of(ProcessId owner) const {
-  auto it = pds_.find(owner);
-  return it == pds_.end() ? nullptr : &it->second;
+  const auto& owners = received_.values();
+  const auto at = std::lower_bound(owners.begin(), owners.end(), owner);
+  if (at == owners.end() || *at != owner) return nullptr;
+  return &pds_[static_cast<std::size_t>(at - owners.begin())];
 }
 
 graph::Digraph KnowledgeView::knowledge_graph() const {
   graph::Digraph g;
   for (ProcessId id : known_) g.add_vertex(id);
-  for (const auto& [owner, pd] : pds_) {
-    for (ProcessId target : pd) g.add_edge(owner, target);
+  for (std::size_t i = 0; i < pds_.size(); ++i) {
+    for (ProcessId target : pds_[i]) g.add_edge(received_.values()[i], target);
   }
   return g;
 }
 
-graph::Digraph KnowledgeView::received_graph() const {
-  // pds_ is keyed by received_, so owners arrive in vertex-index order.
-  graph::Digraph g(received_);
-  std::size_t owner = 0;
-  for (const auto& [id, pd] : pds_) {
-    for (ProcessId target : pd) {
-      if (target == id) continue;
-      if (const auto to = g.index_of(target)) g.add_edge_unchecked(owner, *to);
+graph::SccResult KnowledgeView::received_sccs() const {
+  const obs::ScopedSpan span("membership.received_graph", received_.size());
+  const auto& owners = received_.values();
+  graph::CsrScc& csr = graph::thread_scc_arena();
+  csr.reset();
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    // PD targets ascend, so each lookup resumes where the last one stopped.
+    auto cursor = owners.begin();
+    for (ProcessId target : pds_[i]) {
+      if (target == owners[i]) continue;
+      cursor = std::lower_bound(cursor, owners.end(), target);
+      if (cursor == owners.end()) break;
+      if (*cursor == target) {
+        csr.add_edge(static_cast<std::size_t>(cursor - owners.begin()));
+      }
     }
-    ++owner;
+    csr.end_vertex();
   }
-  return g;
+  return csr.run(owners);
 }
 
-const KnowledgeView::SccSnapshot& KnowledgeView::received_scc_snapshot() const {
+const graph::SccResult& KnowledgeView::received_scc_snapshot() const {
   if (snapshot_revision_ != revision_) {
-    const obs::ScopedSpan span("membership.received_graph", received_.size());
-    snapshot_.received_graph = received_graph();
-    snapshot_.sccs = graph::strongly_connected_components(snapshot_.received_graph);
+    snapshot_ = received_sccs();
     snapshot_revision_ = revision_;
   }
   return snapshot_;
@@ -136,10 +148,9 @@ KnowledgeView KnowledgeView::omniscient(const graph::Digraph& g) {
   KnowledgeView view;
   const IdSet vertices = g.vertices();
   view.known_ = vertices;
-  for (ProcessId id : vertices) {
-    view.received_.insert(id);
-    view.pds_.emplace(id, g.out_neighbors(id));
-  }
+  view.received_ = vertices;
+  view.pds_.reserve(vertices.size());
+  for (ProcessId id : vertices) view.pds_.push_back(g.out_neighbors(id));
   ++view.revision_;
   return view;
 }

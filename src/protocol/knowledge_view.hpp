@@ -2,26 +2,26 @@
 // search strategies, and the Discovery algorithm.
 //
 // Mirrors Algorithm 1's three sets:
-//   S_PD       -> pds() (owner -> PD contents; signatures are checked before
-//                 insertion by the caller, so the view stores plain sets)
+//   S_received -> received() (ascending ids, contiguous)
+//   S_PD       -> pd_at(i), the PD of received()'s i-th owner, kept in a
+//                 table parallel to received(); pd_of(owner) binary-searches
+//                 received() for the index. Signatures are checked before
+//                 insertion by the caller, so the view stores plain sets.
 //   S_known    -> known()
-//   S_received -> received() (the keys of pds())
 //
 // The view is *versioned*: every content change bumps a monotone revision
 // counter, and the expensive derived structures the membership engine needs
-// — the received-knowledge graph, its SCC decomposition, per-S1 split memos,
-// per-SCC candidate caches — are rebuilt lazily and only when the revision
-// moved. Two invariants make this sound (see README "Membership engine
-// caching"):
+// — the SCCs of the received-knowledge graph, per-S1 split memos, per-SCC
+// candidate caches — are rebuilt lazily and only when the revision moved.
+// Two invariants make this sound (see README "Membership engine caching"):
 //   * PDs are immutable once received (first version wins, mirroring
 //     "PD_i always returns the same set"), and
 //   * known()/received() grow monotonically.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <memory_resource>
-#include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
@@ -59,7 +59,9 @@ class KnowledgeView {
 
   [[nodiscard]] const IdSet& known() const { return known_; }
   [[nodiscard]] const IdSet& received() const { return received_; }
-  [[nodiscard]] const std::map<ProcessId, IdSet>& pds() const { return pds_; }
+  /// PD of received()'s i-th owner (i < received().size()).
+  [[nodiscard]] const IdSet& pd_at(std::size_t i) const { return pds_[i]; }
+  /// `owner`'s PD, or null if none was received.
   [[nodiscard]] const IdSet* pd_of(ProcessId owner) const;
 
   /// Monotone content version: bumped by every mutation that changed the
@@ -71,21 +73,17 @@ class KnowledgeView {
   /// process cannot use out-edges it has not seen evidence for.
   [[nodiscard]] graph::Digraph knowledge_graph() const;
 
-  /// K[S_received], built in one pass: vertices in ascending id order, each
-  /// received PD's targets in order with self-loops and non-received
-  /// targets dropped. Equal to knowledge_graph().induced(received()) down
-  /// to vertex indices and adjacency order, so SCC enumeration order (and
-  /// therefore candidate order) is the same, without building the full K.
-  [[nodiscard]] graph::Digraph received_graph() const;
+  /// SCC decomposition of K[S_received], computed afresh on the thread's
+  /// reused CSR buffers (graph::thread_scc_arena()): vertex i is
+  /// received()[i], and its out-edges are PD_i's targets in PD order with
+  /// self-loops and non-received targets dropped. Equal — `component` and
+  /// `members` order included — to strongly_connected_components(
+  /// knowledge_graph().induced(received())), without building either graph.
+  [[nodiscard]] graph::SccResult received_sccs() const;
 
-  /// received_graph() plus its SCC decomposition — the structure every
-  /// candidate search starts from. Rebuilt lazily at the current revision
-  /// and cached.
-  struct SccSnapshot {
-    graph::Digraph received_graph;
-    graph::SccResult sccs;
-  };
-  [[nodiscard]] const SccSnapshot& received_scc_snapshot() const;
+  /// received_sccs() at the current revision, cached — the structure every
+  /// warm candidate search starts from.
+  [[nodiscard]] const graph::SccResult& received_scc_snapshot() const;
 
   /// Lazily created memo pads for the membership engine (split/κ memos,
   /// per-SCC candidate caches, content digest). Logically const: everything
@@ -118,14 +116,14 @@ class KnowledgeView {
  private:
   IdSet known_;
   IdSet received_;
-  std::map<ProcessId, IdSet> pds_;
+  std::vector<IdSet> pds_;  ///< pds_[i] is the first PD of received_[i]
   std::uint64_t revision_ = 0;
 
   // Lazily maintained derived state. Mutable: rebuilding a cache of a pure
   // function of the content is logically const.
   static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
   mutable std::uint64_t snapshot_revision_ = kNoRevision;
-  mutable SccSnapshot snapshot_;
+  mutable graph::SccResult snapshot_;
   mutable std::unique_ptr<EvalScratch> scratch_;
   std::pmr::memory_resource* scratch_mr_ = nullptr;  ///< null = default heap
 };

@@ -130,18 +130,6 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
   }
 }
 
-/// SCCs of the knowledge graph restricted to processes with received PDs —
-/// any strongly connected S1 (P2 needs κ >= 1) is a subset of one of these.
-/// Shared by the cold path and churn-suspended incremental evaluations;
-/// the snapshot the warm incremental path reads is built from the same
-/// KnowledgeView::received_graph(), so enumeration order matches
-/// bit-for-bit.
-std::vector<IdSet> received_sccs(const KnowledgeView& view) {
-  const obs::ScopedSpan span("membership.received_graph",
-                             view.received().size());
-  return graph::strongly_connected_components(view.received_graph()).members;
-}
-
 /// Fans `jobs` (dirty SCCs at or below the big-SCC threshold, paired with
 /// their output slot index) out across the pool. Each worker enumerates
 /// through its own EvalScratch pad overlaid on the view's frozen scratch
@@ -251,12 +239,12 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // Churn-phase evaluation (see EvalScratch::memo_suspended): enumerate at
   // cold speed — no candidate cache, no prune, no split memo, and no
   // persistent per-view snapshot (a churning view's snapshot is rebuilt
-  // every revision anyway, and keeping one graph resident per node evicts
-  // the max-flow scratch from cache). Identical output, none of the
-  // bookkeeping that cannot amortize.
+  // every revision anyway, so keeping one resident per node only adds to
+  // the node's footprint). Identical output, none of the bookkeeping that
+  // cannot amortize.
   if (scratch.memo_suspended) {
     return enumerate_sequence(view, nullptr, big_threshold,
-                              received_sccs(view), enumerate);
+                              view.received_sccs().members, enumerate);
   }
 
   const auto& snapshot = view.received_scc_snapshot();
@@ -266,8 +254,8 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // component); their subsets stay warm in the split memo.
   if (cache.pruned_revision != view.revision()) {
     std::vector<const IdSet*> current;
-    current.reserve(snapshot.sccs.members.size());
-    for (const IdSet& scc : snapshot.sccs.members) current.push_back(&scc);
+    current.reserve(snapshot.members.size());
+    for (const IdSet& scc : snapshot.members) current.push_back(&scc);
     const auto by_value = [](const IdSet* a, const IdSet* b) {
       return *a < *b;
     };
@@ -282,7 +270,7 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   WorkPool* pool = usable_work_pool();
   if (pool == nullptr || pool->workers() <= 1) {
     const EvalPads pads{&scratch, nullptr};
-    for (const IdSet& scc : snapshot.sccs.members) {
+    for (const IdSet& scc : snapshot.members) {
       const auto it = cache.by_scc.find(scc);
       if (it != cache.by_scc.end() && it->second.filled) {
         ++scratch.stats.scc_hits;
@@ -314,7 +302,7 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // in SCC order afterwards. Candidate content and order are identical to
   // the serial loop above; only where the split memos get *computed*
   // differs, and those are pure caches.
-  const auto& sccs = snapshot.sccs.members;
+  const auto& sccs = snapshot.members;
   const std::size_t n = sccs.size();
   enum class Touch : unsigned char { kHit, kFirst, kSecond };
   std::vector<Touch> touch(n, Touch::kHit);
@@ -523,7 +511,7 @@ std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
                                   enumerate);
   }
   return enumerate_sequence(view, nullptr, options_.exhaustive_cap,
-                            received_sccs(view), enumerate);
+                            view.received_sccs().members, enumerate);
 }
 
 std::vector<SinkCandidate> StructuredSinkSearch::candidates(
@@ -553,7 +541,7 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
                                   enumerate);
   }
   return enumerate_sequence(view, nullptr, kStructuredEnumerationCap,
-                            received_sccs(view), enumerate);
+                            view.received_sccs().members, enumerate);
 }
 
 std::unique_ptr<SinkSearch> make_default_search() {
