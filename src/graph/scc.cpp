@@ -6,13 +6,14 @@ namespace bftcup::graph {
 namespace {
 
 /// Iterative Tarjan over vertices 0..n-1; out(v) yields v's out-neighbours
-/// in visiting order, id_of(v) names v in the members.
-template <typename OutFn, typename IdFn>
-SccResult tarjan(std::size_t n, OutFn out, IdFn id_of,
-                 detail::TarjanWork& work) {
-  SccResult result;
-  result.component.assign(n, 0);
-  if (n == 0) return result;
+/// in visiting order. Each component is handed to emit(vertices) as it
+/// closes — Tarjan's natural order, a component after every component it
+/// can reach — with its vertices in stack order; the span is valid only
+/// for the call.
+template <typename OutFn, typename EmitFn>
+void tarjan(std::size_t n, OutFn out, detail::TarjanWork& work,
+            EmitFn emit) {
+  if (n == 0) return;
 
   constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
   work.index.assign(n, kUnset);
@@ -48,18 +49,14 @@ SccResult tarjan(std::size_t n, OutFn out, IdFn id_of,
         }
       } else {
         if (lowlink[v] == index[v]) {
-          work.component_ids.clear();
-          for (;;) {
-            const std::size_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            result.component[w] = result.count;
-            work.component_ids.push_back(id_of(w));
-            if (w == v) break;
-          }
-          result.members.emplace_back(std::vector<ProcessId>(
-              work.component_ids.begin(), work.component_ids.end()));
-          ++result.count;
+          // v's component is the stack from v upwards.
+          std::size_t begin = stack.size();
+          do {
+            on_stack[stack[--begin]] = false;
+          } while (stack[begin] != v);
+          emit(std::span<const std::size_t>(stack.data() + begin,
+                                            stack.size() - begin));
+          stack.resize(begin);
         }
         frames.pop_back();
         if (!frames.empty()) {
@@ -69,17 +66,28 @@ SccResult tarjan(std::size_t n, OutFn out, IdFn id_of,
       }
     }
   }
-  return result;
 }
 
 }  // namespace
 
 SccResult strongly_connected_components(const Digraph& g) {
+  SccResult result;
+  result.component.assign(g.vertex_count(), 0);
   detail::TarjanWork work;
-  return tarjan(
+  tarjan(
       g.vertex_count(),
       [&g](std::size_t v) { return std::span<const std::size_t>(g.out(v)); },
-      [&g](std::size_t v) { return g.id_of(v); }, work);
+      work, [&](std::span<const std::size_t> vertices) {
+        std::vector<ProcessId> ids;
+        ids.reserve(vertices.size());
+        for (std::size_t v : vertices) {
+          result.component[v] = result.count;
+          ids.push_back(g.id_of(v));
+        }
+        result.members.emplace_back(std::move(ids));
+        ++result.count;
+      });
+  return result;
 }
 
 bool is_strongly_connected(const Digraph& g) {
@@ -87,14 +95,22 @@ bool is_strongly_connected(const Digraph& g) {
   return strongly_connected_components(g).count == 1;
 }
 
-SccResult CsrScc::run(std::span<const ProcessId> ids) {
-  return tarjan(
+std::vector<IdSet> CsrScc::run(std::span<const ProcessId> ids) {
+  std::vector<IdSet> components;
+  tarjan(
       vertex_count(),
       [this](std::size_t v) {
         return std::span<const std::size_t>(targets_.data() + offsets_[v],
                                             targets_.data() + offsets_[v + 1]);
       },
-      [ids](std::size_t v) { return ids[v]; }, work_);
+      work_, [&](std::span<const std::size_t> vertices) {
+        if (vertices.size() < 2) return;
+        std::vector<ProcessId> members;
+        members.reserve(vertices.size());
+        for (std::size_t v : vertices) members.push_back(ids[v]);
+        components.emplace_back(std::move(members));
+      });
+  return components;
 }
 
 CsrScc& thread_scc_arena() {

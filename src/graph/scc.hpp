@@ -37,15 +37,17 @@ struct TarjanWork {
   std::vector<bool> on_stack;
   std::vector<std::size_t> stack;
   std::vector<Frame> frames;
-  std::vector<ProcessId> component_ids;
 };
 
 }  // namespace detail
 
-/// SCCs of a graph given as a CSR adjacency over dense vertices 0..n-1,
-/// for callers that would otherwise build a Digraph only to run Tarjan on
-/// it. An instance doubles as a reusable arena: reset() clears the graph
-/// but keeps every buffer's capacity (Tarjan's work arrays included), so a
+/// The strongly connected components of at least two members of a graph
+/// given as a CSR adjacency over dense vertices 0..n-1, for the membership
+/// engine (KnowledgeView::received_sccs()). A one-member component is left
+/// out: no S1 inside it can pass P2 (κ(K[S1]) >= 1 needs two members), and
+/// in a knowledge graph under discovery most components are singletons.
+/// An instance doubles as a reusable arena: reset() clears the graph but
+/// keeps every buffer's capacity (Tarjan's work arrays included), so a
 /// caller that takes SCCs once per small update allocates only the result.
 ///
 /// Build vertex by vertex in ascending order: add_edge() appends an
@@ -65,12 +67,12 @@ class CsrScc {
     return offsets_.size() - 1;
   }
 
-  /// Tarjan over the built adjacency, vertex v named ids[v] in the members
-  /// (ids.size() == vertex_count()). The same iterative algorithm as
-  /// strongly_connected_components(const Digraph&), so a Digraph with the
-  /// same vertex order and out-adjacency order yields an identical
-  /// `component` vector and `members` order.
-  [[nodiscard]] SccResult run(std::span<const ProcessId> ids);
+  /// Tarjan over the built adjacency, vertex v named ids[v] (ids.size() ==
+  /// vertex_count()): the components of two or more members, in the order
+  /// strongly_connected_components(const Digraph&) lists them for a Digraph
+  /// with the same vertex order and out-adjacency order — its `members`
+  /// with the singletons dropped. Both share one iterative Tarjan.
+  [[nodiscard]] std::vector<IdSet> run(std::span<const ProcessId> ids);
 
  private:
   std::vector<std::size_t> offsets_;

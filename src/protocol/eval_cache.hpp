@@ -4,10 +4,15 @@
 // "Membership engine caching" for the invariants and the proof sketch):
 //
 //  * EvalScratch — per-KnowledgeView memo pads, attached lazily to a view
-//    and owned by it. Holds (a) the admissible-split / κ memos keyed by
-//    canonical S1 contents — valid forever because a received S1's splits
-//    depend only on its members' PDs, which are immutable, and on known()
-//    growth that provably cannot alter them; (b) per-strategy candidate
+//    and owned by it. Holds (a) the admissible-split / κ memo keyed by
+//    canonical S1 contents, for the S1s of components above
+//    SplitKernel::kMaxMembers (63) members only — big-SCC certification,
+//    where κ is a max-flow on an induced graph; a kernel-sized component's
+//    S1s are evaluated directly on its split kernel, which costs about what
+//    a probe would, and one-member components never reach the engine at
+//    all. Entries are valid forever because a received S1's splits depend
+//    only on its members' PDs, which are immutable, and on known() growth
+//    that provably cannot alter them; (b) per-strategy candidate
 //    caches keyed by SCC member set — the dirty-SCC mechanism: an SCC whose
 //    member set survived the last revision is *clean* and its candidates are
 //    reused verbatim, a changed (merged/grown) SCC misses and re-enumerates;
@@ -53,14 +58,15 @@ class EvalScratch {
   struct Stats {
     std::uint64_t scc_hits = 0;    ///< SCCs served from the candidate cache
     std::uint64_t scc_misses = 0;  ///< SCCs (re-)enumerated
-    std::uint64_t split_hits = 0;  ///< S1s served from the split memo
+    std::uint64_t split_hits = 0;  ///< big-SCC S1s served from the split memo
     std::uint64_t split_misses = 0;
   };
 
   /// Per-S1 memo entry: κ(K[S1]) and the admissible splits derived from it.
   /// Both are pure functions of the S1 members' immutable PDs, so entries
   /// are revision-invariant — one connectivity computation per canonical S1
-  /// contents for the view's lifetime.
+  /// contents for the view's lifetime. Only S1s of components above
+  /// SplitKernel::kMaxMembers are stored (see the file comment).
   struct SplitMemo {
     std::size_t kappa = 0;
     std::vector<AdmissibleSplit> splits;
@@ -77,8 +83,9 @@ class EvalScratch {
     return it->second.kappa;
   }
 
-  /// Per-strategy candidate cache: SCC member set -> candidates of every
-  /// S1 the strategy derives from that SCC, in enumeration order. Entries
+  /// Per-strategy candidate cache: SCC member set (two or more members) ->
+  /// candidates of every S1 the strategy derives from that SCC, in
+  /// enumeration order. Entries
   /// are *two-touch*: the first enumeration of an SCC records only the key
   /// (cheap), the second stores the candidate vector, the third and later
   /// are hits. A view in discovery churn — where an SCC's member set

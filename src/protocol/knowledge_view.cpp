@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bitset64.hpp"
+#include "graph/scc.hpp"
 #include "obs/span_tracer.hpp"
 #include "protocol/eval_cache.hpp"
 
@@ -29,7 +30,7 @@ KnowledgeView& KnowledgeView::operator=(const KnowledgeView& other) {
   // Content may have changed entirely; drop the derived state rather than
   // inherit the source's (copies may diverge — see header).
   snapshot_revision_ = kNoRevision;
-  snapshot_ = graph::SccResult{};
+  snapshot_.clear();
   scratch_.reset();
   return *this;
 }
@@ -77,7 +78,7 @@ graph::Digraph KnowledgeView::knowledge_graph() const {
   return g;
 }
 
-graph::SccResult KnowledgeView::received_sccs() const {
+std::vector<IdSet> KnowledgeView::received_sccs() const {
   const obs::ScopedSpan span("membership.received_graph", received_.size());
   const auto& owners = received_.values();
   graph::CsrScc& csr = graph::thread_scc_arena();
@@ -98,7 +99,7 @@ graph::SccResult KnowledgeView::received_sccs() const {
   return csr.run(owners);
 }
 
-const graph::SccResult& KnowledgeView::received_scc_snapshot() const {
+const std::vector<IdSet>& KnowledgeView::received_scc_snapshot() const {
   if (snapshot_revision_ != revision_) {
     snapshot_ = received_sccs();
     snapshot_revision_ = revision_;

@@ -11,7 +11,8 @@
 //
 // The view is *versioned*: every content change bumps a monotone revision
 // counter, and the expensive derived structures the membership engine needs
-// — the SCCs of the received-knowledge graph, per-S1 split memos, per-SCC
+// — the SCCs of the received-knowledge graph (those of two or more members:
+// a singleton holds no candidate), the big-SCC split memo, per-SCC
 // candidate caches — are rebuilt lazily and only when the revision moved.
 // Two invariants make this sound (see README "Membership engine caching"):
 //   * PDs are immutable once received (first version wins, mirroring
@@ -25,7 +26,6 @@
 
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
-#include "graph/scc.hpp"
 
 namespace bftcup::protocol {
 
@@ -73,17 +73,20 @@ class KnowledgeView {
   /// process cannot use out-edges it has not seen evidence for.
   [[nodiscard]] graph::Digraph knowledge_graph() const;
 
-  /// SCC decomposition of K[S_received], computed afresh on the thread's
-  /// reused CSR buffers (graph::thread_scc_arena()): vertex i is
-  /// received()[i], and its out-edges are PD_i's targets in PD order with
-  /// self-loops and non-received targets dropped. Equal — `component` and
-  /// `members` order included — to strongly_connected_components(
-  /// knowledge_graph().induced(received())), without building either graph.
-  [[nodiscard]] graph::SccResult received_sccs() const;
+  /// The SCCs of K[S_received] with at least two members, computed afresh
+  /// on the thread's reused CSR buffers (graph::thread_scc_arena()):
+  /// vertex i is received()[i], and its out-edges are PD_i's targets in PD
+  /// order with self-loops and non-received targets dropped. Equal to the
+  /// `members` of strongly_connected_components(knowledge_graph().induced(
+  /// received())) with the one-member components filtered out, order kept,
+  /// without building either graph. A singleton never holds a candidate
+  /// S1 (P2 needs κ >= 1, hence two members), so the membership engine
+  /// never sees one.
+  [[nodiscard]] std::vector<IdSet> received_sccs() const;
 
   /// received_sccs() at the current revision, cached — the structure every
   /// warm candidate search starts from.
-  [[nodiscard]] const graph::SccResult& received_scc_snapshot() const;
+  [[nodiscard]] const std::vector<IdSet>& received_scc_snapshot() const;
 
   /// Lazily created memo pads for the membership engine (split/κ memos,
   /// per-SCC candidate caches, content digest). Logically const: everything
@@ -123,7 +126,7 @@ class KnowledgeView {
   // function of the content is logically const.
   static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
   mutable std::uint64_t snapshot_revision_ = kNoRevision;
-  mutable graph::SccResult snapshot_;
+  mutable std::vector<IdSet> snapshot_;
   mutable std::unique_ptr<EvalScratch> scratch_;
   std::pmr::memory_resource* scratch_mr_ = nullptr;  ///< null = default heap
 };

@@ -225,19 +225,14 @@ EvalScratch::SplitMemo compute_thresholds(
 }
 
 /// Routes one fully received, non-empty S1 by size: a singleton has κ = 0
-/// and no split; up to SplitKernel::kMaxMembers members go onto the SCC's
-/// kernel when it covers the SCC, else onto a kernel of S1's own; larger
-/// S1s take the reference computation.
+/// and no split; up to SplitKernel::kMaxMembers members go onto a kernel
+/// of S1's own; larger S1s take the reference computation.
 EvalScratch::SplitMemo compute_splits(
-    const KnowledgeView& view, const IdSet& s1, LazySplitKernel* scc_kernel,
+    const KnowledgeView& view, const IdSet& s1,
     std::pmr::vector<std::uint64_t>* probe_words) {
   if (s1.size() < 2) return {};
   if (s1.size() > SplitKernel::kMaxMembers) {
     return compute_thresholds(view, s1, probe_words);
-  }
-  if (const SplitKernel* kernel =
-          scc_kernel != nullptr ? scc_kernel->get() : nullptr) {
-    return kernel->evaluate(kernel->mask_of(s1));
   }
   const SplitKernel own(view, s1);
   return own.evaluate((std::uint64_t{1} << s1.size()) - 1);
@@ -246,20 +241,14 @@ EvalScratch::SplitMemo compute_splits(
 }  // namespace
 
 std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
-                                                   const IdSet& s1,
-                                                   LazySplitKernel* scc_kernel) {
+                                                   const IdSet& s1) {
   if (s1.empty() || !s1.is_subset_of(view.received())) return {};
-  return compute_splits(view, s1, scc_kernel, nullptr).splits;
-}
-
-const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
-    const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch) {
-  return admissible_thresholds_padded(view, s1, nullptr, scratch);
+  return compute_splits(view, s1, nullptr).splits;
 }
 
 const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
     const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local, LazySplitKernel* scc_kernel) {
+    EvalScratch& local) {
   static const std::vector<AdmissibleSplit> kEmpty;
   // A not-fully-received S1 has no splits but may gain some later; it must
   // not be stored (the memo has no invalidation by design).
@@ -276,7 +265,7 @@ const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
   }
   ++local.stats.split_misses;
   return local.splits
-      .emplace(s1, compute_splits(view, s1, scc_kernel, &local.probe_words))
+      .emplace(s1, compute_splits(view, s1, &local.probe_words))
       .first->second.splits;
 }
 

@@ -15,8 +15,6 @@
 
 namespace bftcup::protocol {
 
-class LazySplitKernel;  // protocol/split_kernel.hpp
-
 /// Evaluates isSink(f, S1, ·) against `view`, deriving S2.
 /// Returns the derived S2 when all of Theorem 3's properties hold:
 ///   P1: |S1| >= 2f+1 and S1 ⊆ S_received,
@@ -45,10 +43,9 @@ class LazySplitKernel;  // protocol/split_kernel.hpp
 /// All admissible fault thresholds g for a fixed S1 (ascending), with the S2
 /// derived for each. Shared by the search strategies: for one S1, κ is
 /// computed once and every g in [0, κ-1] is tested cheaply. An S1 of at
-/// most SplitKernel::kMaxMembers members is evaluated on `scc_kernel` — the
-/// lazily built kernel of an SCC containing S1 — when one is given and
-/// covers the SCC, else on a SplitKernel of S1's own; a larger S1 on the
-/// reference induced-graph path.
+/// most SplitKernel::kMaxMembers members is evaluated on a SplitKernel of
+/// its own (the searches evaluate the subsets of a kernel-sized SCC on the
+/// SCC's kernel directly); a larger S1 on the reference induced-graph path.
 struct AdmissibleSplit {
   std::size_t g;
   IdSet s2;
@@ -57,28 +54,23 @@ struct AdmissibleSplit {
                          const AdmissibleSplit&) = default;
 };
 [[nodiscard]] std::vector<AdmissibleSplit> admissible_thresholds(
-    const KnowledgeView& view, const IdSet& s1,
-    LazySplitKernel* scc_kernel = nullptr);
+    const KnowledgeView& view, const IdSet& s1);
 
-/// Memoized variant backed by the view's EvalScratch: splits (and κ) for an
-/// all-received S1 are pure functions of its members' immutable PDs, so the
-/// memo never needs invalidation — later add_pd calls provably cannot change
-/// them (README "Membership engine caching"). Returns a reference into the
-/// memo; an S1 that is not fully received is answered cold and not stored.
-[[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
-    const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch);
-
-/// Worker-pad form of admissible_thresholds_memo for the parallel SCC
-/// fan-out (common/work_pool.hpp): reads `shared` — the view's memo, frozen
-/// for the duration of a dispatch — first, then `local` (the worker's own
-/// pad); misses are computed into `local`, never into `shared`. The caller
-/// merges the pads back into the view memo after the join, in worker-index
-/// order. With `shared == nullptr` and `local` = the view's scratch this is
-/// exactly admissible_thresholds_memo (the serial path delegates here). A
-/// miss is computed as admissible_thresholds computes it, `scc_kernel`
-/// included.
+/// Memoized form backed by EvalScratch::splits, for the big-SCC
+/// certification path (components above SplitKernel::kMaxMembers, whose
+/// candidates are costed with max-flow κ; kernel-sized ones are evaluated
+/// directly). Splits (and κ) of an all-received S1 are pure functions of
+/// its members' immutable PDs, so the memo never needs invalidation —
+/// later add_pd calls provably cannot change them (README "Membership
+/// engine caching"). Reads `shared` first — the view's memo, frozen while
+/// a parallel sample fan-out (common/work_pool.hpp) is in flight, or null
+/// — then `local` (the view's memo serially, a worker's own pad during a
+/// fan-out, which the caller merges back in worker-index order after the
+/// join); misses are computed into `local`, never into `shared`, as
+/// admissible_thresholds computes them. Returns a reference into a memo;
+/// an S1 that is not fully received is answered cold and not stored.
 [[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
     const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local, LazySplitKernel* scc_kernel = nullptr);
+    EvalScratch& local);
 
 }  // namespace bftcup::protocol

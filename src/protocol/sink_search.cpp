@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <set>
 
 #include "common/fnv.hpp"
@@ -40,81 +41,62 @@ void note_big_scc_fallback(std::size_t scc_size, std::size_t cap) {
                           << " (logged once per run)";
 }
 
-/// Memo routing for one enumeration call. `local` is where split memo
-/// reads and writes go (the view's own scratch on the serial path, a
-/// worker-private pad during a parallel dispatch, nullptr in suspended /
-/// non-incremental mode = no memos at all). `shared` is a read-only
-/// overlay consulted before `local` — the view's scratch, frozen while a
-/// dispatch is in flight; workers hit it for splits costed in earlier
-/// revisions and write misses to their own pad, which the driver merges
-/// back worker-index-ordered after the join. Everything memoized is a pure
-/// function of the view, so pad contents are schedule-independent.
-struct EvalPads {
-  EvalScratch* local = nullptr;
-  const EvalScratch* shared = nullptr;
-};
-
-/// Appends every admissible split of `s1` as a candidate. Shared by the cold
-/// and incremental paths; `pads` routes the split computation through the
-/// per-S1 memo tiers (see EvalPads), and splits the memos do not answer are
-/// computed on `kernel`, the lazily built kernel of the SCC `s1` lies in.
-void collect_candidates_for(const KnowledgeView& view, const EvalPads& pads,
-                            LazySplitKernel& kernel, const IdSet& s1,
-                            std::vector<SinkCandidate>& out) {
-  if (pads.local != nullptr) {
-    for (const AdmissibleSplit& split : admissible_thresholds_padded(
-             view, s1, pads.shared, *pads.local, &kernel)) {
-      out.push_back({s1, split.s2, split.g});
-    }
-    return;
-  }
-  for (AdmissibleSplit& split : admissible_thresholds(view, s1, &kernel)) {
+/// Appends `splits` as candidates with S1 = `s1`.
+void append_splits(const IdSet& s1, std::vector<AdmissibleSplit>&& splits,
+                   std::vector<SinkCandidate>& out) {
+  for (AdmissibleSplit& split : splits) {
     out.push_back({s1, std::move(split.s2), split.g});
   }
 }
 
 /// Candidates the exhaustive strategy derives from one SCC: every non-empty
-/// subset, masks ascending. One scratch S1 is reused across all 2^n - 1
-/// masks (cleared, refilled in ascending id order) so the inner loop's only
-/// allocation is its first capacity growth — the FlatSet-scratch half of
-/// the run engine's near-zero-heap steady state. collect_candidates_for
-/// copies S1 into whatever it emits, so reuse cannot leak.
-void enumerate_exhaustive(const KnowledgeView& view, const EvalPads& pads,
-                          const IdSet& scc, std::vector<SinkCandidate>& out) {
+/// subset, masks ascending, each evaluated directly on the SCC's kernel (a
+/// kernel evaluation costs about what a memo probe would). S1 is only
+/// materialized for a mask with at least one admissible split.
+void enumerate_exhaustive(const KnowledgeView& view, const IdSet& scc,
+                          std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
-  LazySplitKernel kernel(view, scc);
-  IdSet s1;
-  s1.reserve(n);
+  const SplitKernel kernel(view, scc);
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
-    s1.clear();
+    EvalScratch::SplitMemo memo = kernel.evaluate(mask);
+    if (memo.splits.empty()) continue;
+    IdSet s1;
+    s1.reserve(static_cast<std::size_t>(std::popcount(mask)));
     for (std::size_t b = 0; b < n; ++b) {
       // ids is sorted, so these inserts are ordered appends.
       if (mask & (std::uint64_t{1} << b)) s1.insert(ids[b]);
     }
-    collect_candidates_for(view, pads, kernel, s1, out);
+    append_splits(s1, std::move(memo.splits), out);
   }
 }
 
 /// Candidates the structured strategy derives from one SCC: C itself, then
-/// C \ D for every removal set D with |D| <= removal_cap.
-void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
-                          const IdSet& scc, std::size_t removal_cap,
+/// C \ D for every removal set D with |D| <= removal_cap, each evaluated
+/// directly on the SCC's kernel as a mask.
+void enumerate_structured(const KnowledgeView& view, const IdSet& scc,
+                          std::size_t removal_cap,
                           std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
   const std::size_t cap = std::min(removal_cap, n - 1);
-  LazySplitKernel kernel(view, scc);
+  const SplitKernel kernel(view, scc);
+  const std::uint64_t all = (std::uint64_t{1} << n) - 1;
 
-  collect_candidates_for(view, pads, kernel, scc, out);
+  append_splits(scc, kernel.evaluate(all).splits, out);
   for (std::size_t d = 1; d <= cap; ++d) {
     std::vector<std::size_t> combo(d);
     for (std::size_t i = 0; i < d; ++i) combo[i] = i;
     bool more = true;
     while (more) {
-      IdSet s1 = scc;
-      for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, pads, kernel, s1, out);
+      std::uint64_t mask = all;
+      for (std::size_t idx : combo) mask &= ~(std::uint64_t{1} << idx);
+      EvalScratch::SplitMemo memo = kernel.evaluate(mask);
+      if (!memo.splits.empty()) {
+        IdSet s1 = scc;
+        for (std::size_t idx : combo) s1.erase(ids[idx]);
+        append_splits(s1, std::move(memo.splits), out);
+      }
 
       // Advance to the next d-combination of {0..n-1}.
       more = false;
@@ -131,62 +113,42 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
 }
 
 /// Fans `jobs` (dirty SCCs at or below the big-SCC threshold, paired with
-/// their output slot index) out across the pool. Each worker enumerates
-/// through its own EvalScratch pad overlaid on the view's frozen scratch
-/// (EvalPads); candidates land in slots addressed by job index, never in
-/// completion order, and pads are merged back worker-index-ordered after
-/// the join — so the assembled output is byte-identical to the serial
-/// loop. `view_scratch == nullptr` (suspended / non-incremental mode)
-/// enumerates memo-free, exactly like the serial cold path.
+/// their output slot index) out across the pool. Such components always
+/// have a split kernel, so they are evaluated memo-free and workers share
+/// nothing but the read-only view; candidates land in slots addressed by
+/// job index, never in completion order, so the assembled output is
+/// byte-identical to the serial loop.
 template <typename Enumerate>
 void enumerate_jobs(WorkPool& pool, const KnowledgeView& view,
-                    EvalScratch* view_scratch,
                     const std::vector<const IdSet*>& jobs,
                     const std::vector<std::size_t>& job_slot,
                     std::vector<std::vector<SinkCandidate>>& slots,
                     const Enumerate& enumerate) {
   if (jobs.empty()) return;
-  const std::size_t workers = pool.workers();
-  std::vector<EvalScratch> pads(view_scratch != nullptr ? workers : 0);
   const std::size_t chunk =
-      std::max<std::size_t>(1, jobs.size() / (workers * 8));
+      std::max<std::size_t>(1, jobs.size() / (pool.workers() * 8));
   pool.run(jobs.size(), chunk,
-           [&](std::size_t begin, std::size_t end, std::size_t worker) {
-             const EvalPads eval_pads{
-                 view_scratch != nullptr ? &pads[worker] : nullptr,
-                 view_scratch};
+           [&](std::size_t begin, std::size_t end, std::size_t) {
              for (std::size_t j = begin; j < end; ++j) {
-               enumerate(view, eval_pads, *jobs[j], slots[job_slot[j]]);
+               enumerate(view, nullptr, *jobs[j], slots[job_slot[j]]);
              }
            });
-  if (view_scratch == nullptr) return;
-  for (EvalScratch& pad : pads) {
-    // emplace keeps the first value per key; duplicates across pads hold
-    // identical values (pure functions of the view), so merge order only
-    // needs to be *fixed*, not anything in particular.
-    for (auto& entry : pad.splits) {
-      view_scratch->splits.emplace(entry.first, std::move(entry.second));
-    }
-    view_scratch->stats.split_hits += pad.stats.split_hits;
-    view_scratch->stats.split_misses += pad.stats.split_misses;
-  }
 }
 
 /// Drives one full SCC list (cold / churn-suspended evaluations: every SCC
-/// is enumerated, no candidate cache). Serial without a usable pool;
-/// otherwise small SCCs fan out while oversized ones run from the caller
-/// context so their inner sample/pivot loops can use the pool themselves.
+/// is enumerated, no candidate cache, no split memo). Serial without a
+/// usable pool; otherwise small SCCs fan out while oversized ones run from
+/// the caller context so their inner sample/pivot loops can use the pool
+/// themselves.
 template <typename Enumerate>
 std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
-                                              EvalScratch* scratch,
                                               std::size_t big_threshold,
                                               const std::vector<IdSet>& sccs,
                                               const Enumerate& enumerate) {
   std::vector<SinkCandidate> out;
   WorkPool* pool = usable_work_pool();
   if (pool == nullptr || pool->workers() <= 1 || sccs.size() <= 1) {
-    const EvalPads pads{scratch, nullptr};
-    for (const IdSet& scc : sccs) enumerate(view, pads, scc, out);
+    for (const IdSet& scc : sccs) enumerate(view, nullptr, scc, out);
     return out;
   }
 
@@ -202,11 +164,8 @@ std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
       small_slot.push_back(i);
     }
   }
-  enumerate_jobs(*pool, view, scratch, small, small_slot, slots, enumerate);
-  for (std::size_t i : big) {
-    const EvalPads pads{scratch, nullptr};
-    enumerate(view, pads, sccs[i], slots[i]);
-  }
+  enumerate_jobs(*pool, view, small, small_slot, slots, enumerate);
+  for (std::size_t i : big) enumerate(view, nullptr, sccs[i], slots[i]);
   std::size_t total = 0;
   for (const auto& slot : slots) total += slot.size();
   out.reserve(total);
@@ -221,13 +180,14 @@ std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
 /// SCC decomposition in order; an SCC whose member set is present in the
 /// strategy's cache is clean (PDs are immutable and known() growth cannot
 /// alter its candidates — README "Membership engine caching"), everything
-/// else is dirty and re-enumerated through `enumerate`, with the per-S1
-/// split memo absorbing subsets already costed in an earlier revision.
-/// Output order is identical to a cold run: current SCC order, and within
-/// an SCC the enumeration order `enumerate` defines. With a pool installed
-/// the dirty SCCs fan out (slots by SCC index, worker pads merged after
-/// the join); classification, cache bookkeeping, and assembly stay on the
-/// caller, so the two-touch admission logic is untouched.
+/// else is dirty and re-enumerated through `enumerate`, which gets the
+/// view's scratch so that a component above the kernel size can answer
+/// subsets costed in an earlier revision from the split memo. Output order
+/// is identical to a cold run: current SCC order, and within an SCC the
+/// enumeration order `enumerate` defines. With a pool installed the dirty
+/// kernel-sized SCCs fan out (slots by SCC index); classification, cache
+/// bookkeeping, and assembly stay on the caller, so the two-touch
+/// admission logic is untouched.
 template <typename Enumerate>
 std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
                                                   const std::string& cache_key,
@@ -243,19 +203,19 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // the node's footprint). Identical output, none of the bookkeeping that
   // cannot amortize.
   if (scratch.memo_suspended) {
-    return enumerate_sequence(view, nullptr, big_threshold,
-                              view.received_sccs().members, enumerate);
+    return enumerate_sequence(view, big_threshold, view.received_sccs(),
+                              enumerate);
   }
 
-  const auto& snapshot = view.received_scc_snapshot();
+  const std::vector<IdSet>& sccs = view.received_scc_snapshot();
   EvalScratch::StrategyCache& cache = scratch.strategies[cache_key];
 
   // Drop entries for SCCs that no longer exist (they merged into a bigger
-  // component); their subsets stay warm in the split memo.
+  // component); the subsets of a big one stay warm in the split memo.
   if (cache.pruned_revision != view.revision()) {
     std::vector<const IdSet*> current;
-    current.reserve(snapshot.members.size());
-    for (const IdSet& scc : snapshot.members) current.push_back(&scc);
+    current.reserve(sccs.size());
+    for (const IdSet& scc : sccs) current.push_back(&scc);
     const auto by_value = [](const IdSet* a, const IdSet* b) {
       return *a < *b;
     };
@@ -269,8 +229,7 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
 
   WorkPool* pool = usable_work_pool();
   if (pool == nullptr || pool->workers() <= 1) {
-    const EvalPads pads{&scratch, nullptr};
-    for (const IdSet& scc : snapshot.members) {
+    for (const IdSet& scc : sccs) {
       const auto it = cache.by_scc.find(scc);
       if (it != cache.by_scc.end() && it->second.filled) {
         ++scratch.stats.scc_hits;
@@ -284,12 +243,12 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
       // member set survives to a second enumeration. Discovery-churn SCCs
       // are pruned before their second touch and never pay the copy.
       if (it == cache.by_scc.end()) {
-        enumerate(view, pads, scc, out);  // straight into the output
+        enumerate(view, &scratch, scc, out);  // straight into the output
         cache.by_scc.emplace(scc, EvalScratch::CachedCandidates{});
         continue;
       }
       std::vector<SinkCandidate> fresh;
-      enumerate(view, pads, scc, fresh);
+      enumerate(view, &scratch, scc, fresh);
       out.insert(out.end(), fresh.begin(), fresh.end());
       it->second.filled = true;
       it->second.candidates = std::move(fresh);
@@ -300,9 +259,7 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // Parallel path: classify on the caller (cache probes and stats), fan
   // dirty SCCs out into index-addressed slots, assemble + fill the cache
   // in SCC order afterwards. Candidate content and order are identical to
-  // the serial loop above; only where the split memos get *computed*
-  // differs, and those are pure caches.
-  const auto& sccs = snapshot.members;
+  // the serial loop above.
   const std::size_t n = sccs.size();
   enum class Touch : unsigned char { kHit, kFirst, kSecond };
   std::vector<Touch> touch(n, Touch::kHit);
@@ -325,14 +282,11 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
       small_slot.push_back(i);
     }
   }
-  enumerate_jobs(*pool, view, &scratch, small, small_slot, slots, enumerate);
+  enumerate_jobs(*pool, view, small, small_slot, slots, enumerate);
   // Oversized components run from the caller context so their sample and
   // pivot fan-outs can take the pool themselves (a dispatch from inside a
   // task would be rejected; usable_work_pool() would hand them nullptr).
-  for (std::size_t i : big) {
-    const EvalPads pads{&scratch, nullptr};
-    enumerate(view, pads, sccs[i], slots[i]);
-  }
+  for (std::size_t i : big) enumerate(view, &scratch, sccs[i], slots[i]);
   for (std::size_t i = 0; i < n; ++i) {
     switch (touch[i]) {
       case Touch::kHit: {
@@ -357,6 +311,40 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   return out;
 }
 
+/// Split-memo routing for the candidates of a component above
+/// SplitKernel::kMaxMembers, the one place the memo still pays. `local`
+/// takes memo reads and writes (the view's scratch serially, a worker's
+/// own pad during the sample fan-out; null = no memo). `shared` is a
+/// read-only overlay consulted before `local` — the view's scratch, frozen
+/// while the fan-out is in flight; the pads are merged back into it in
+/// worker-index order after the join. Everything memoized is a pure
+/// function of the view, so pad contents are schedule-independent.
+struct EvalPads {
+  EvalScratch* local = nullptr;
+  const EvalScratch* shared = nullptr;
+};
+
+/// Appends every admissible split of `s1`, a subset of the component C
+/// being certified: on C's kernel when C has one (`kernel` non-null), else
+/// through the split memo pads when `pads.local` is set, else on the
+/// reference path.
+void collect_candidates_for(const KnowledgeView& view, const EvalPads& pads,
+                            const SplitKernel* kernel, const IdSet& s1,
+                            std::vector<SinkCandidate>& out) {
+  if (kernel != nullptr) {
+    append_splits(s1, kernel->evaluate(kernel->mask_of(s1)).splits, out);
+    return;
+  }
+  if (pads.local != nullptr) {
+    for (const AdmissibleSplit& split :
+         admissible_thresholds_padded(view, s1, pads.shared, *pads.local)) {
+      out.push_back({s1, split.s2, split.g});
+    }
+    return;
+  }
+  append_splits(s1, admissible_thresholds(view, s1), out);
+}
+
 /// Big-SCC certification: components too large to enumerate are *certified
 /// or refuted* instead of skipped. The component C itself is always
 /// evaluated — its κ runs through the connectivity early-exits
@@ -371,11 +359,21 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
 /// *evaluated* through the pool when one is usable — slots by sample
 /// index, worker pads merged after the join, so the emitted candidates
 /// match the serial interleaving exactly.
-void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
+///
+/// `memo` is the view's scratch on incremental evaluations (null on cold
+/// and churn-suspended ones). It is used only when C is above the kernel
+/// size: then every candidate is costed on the reference path (max-flow κ
+/// on an induced graph), and a C or C \ D seen in an earlier revision is
+/// answered from the split memo. A kernel-sized C is evaluated directly.
+void enumerate_big_scc(const KnowledgeView& view, EvalScratch* memo,
                        const IdSet& scc, std::size_t removal_cap,
                        std::size_t samples, std::vector<SinkCandidate>& out) {
-  LazySplitKernel kernel(view, scc);
-  collect_candidates_for(view, pads, kernel, scc, out);
+  std::optional<SplitKernel> own_kernel;
+  if (scc.size() <= SplitKernel::kMaxMembers) own_kernel.emplace(view, scc);
+  const SplitKernel* const kernel = own_kernel ? &*own_kernel : nullptr;
+  EvalScratch* const split_memo = kernel == nullptr ? memo : nullptr;
+  const EvalPads serial{split_memo, nullptr};
+  collect_candidates_for(view, serial, kernel, scc, out);
   if (samples == 0) return;
 
   const auto& ids = scc.values();
@@ -414,35 +412,33 @@ void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
   WorkPool* wp = usable_work_pool();
   if (wp == nullptr || wp->workers() <= 1 || sample_s1s.size() <= 1) {
     for (const IdSet& s1 : sample_s1s) {
-      collect_candidates_for(view, pads, kernel, s1, out);
+      collect_candidates_for(view, serial, kernel, s1, out);
     }
     return;
   }
-  // Workers share the kernel read-only: it must exist before the dispatch.
-  (void)kernel.get();
-  const std::size_t workers = wp->workers();
+  // Workers share the kernel, if any, read-only.
   std::vector<std::vector<SinkCandidate>> slots(sample_s1s.size());
-  std::vector<EvalScratch> worker_pads(pads.local != nullptr ? workers : 0);
-  const EvalScratch* shared =
-      pads.shared != nullptr ? pads.shared : pads.local;
+  std::vector<EvalScratch> worker_pads(split_memo != nullptr ? wp->workers()
+                                                             : 0);
   wp->run(sample_s1s.size(), 1,
           [&](std::size_t begin, std::size_t end, std::size_t worker) {
-            const EvalPads eval_pads{
-                pads.local != nullptr ? &worker_pads[worker] : nullptr,
-                shared};
+            const EvalPads pads{
+                split_memo != nullptr ? &worker_pads[worker] : nullptr,
+                split_memo};
             for (std::size_t j = begin; j < end; ++j) {
-              collect_candidates_for(view, eval_pads, kernel, sample_s1s[j],
+              collect_candidates_for(view, pads, kernel, sample_s1s[j],
                                      slots[j]);
             }
           });
-  if (pads.local != nullptr) {
-    for (EvalScratch& pad : worker_pads) {
-      for (auto& entry : pad.splits) {
-        pads.local->splits.emplace(entry.first, std::move(entry.second));
-      }
-      pads.local->stats.split_hits += pad.stats.split_hits;
-      pads.local->stats.split_misses += pad.stats.split_misses;
+  // emplace keeps the first value per key; duplicates across pads hold
+  // identical values (pure functions of the view), so merge order only
+  // needs to be *fixed*, not anything in particular.
+  for (EvalScratch& pad : worker_pads) {
+    for (auto& entry : pad.splits) {
+      split_memo->splits.emplace(entry.first, std::move(entry.second));
     }
+    split_memo->stats.split_hits += pad.stats.split_hits;
+    split_memo->stats.split_misses += pad.stats.split_misses;
   }
   for (auto& slot : slots) {
     out.insert(out.end(), std::make_move_iterator(slot.begin()),
@@ -486,7 +482,7 @@ std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
   // the run engine (Scenario::parallel_eval) takes precedence.
   const WorkPoolScope scope(
       current_work_pool() == nullptr ? options_.parallel_eval : 0);
-  const auto enumerate = [this](const KnowledgeView& v, const EvalPads& pads,
+  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
                                 const IdSet& scc,
                                 std::vector<SinkCandidate>& out) {
     // Observability: this lambda runs on the run's own thread (the
@@ -499,26 +495,26 @@ std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
     if (scc.size() > options_.exhaustive_cap) {
       note_big_scc_fallback(scc.size(), options_.exhaustive_cap);
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, pads, scc, options_.removal_cap,
+      enumerate_big_scc(v, memo, scc, options_.removal_cap,
                         options_.big_scc_samples, out);
       return;
     }
-    enumerate_exhaustive(v, pads, scc, out);
+    enumerate_exhaustive(v, scc, out);
   };
 
   if (options_.incremental) {
     return incremental_candidates(view, cache_key_, options_.exhaustive_cap,
                                   enumerate);
   }
-  return enumerate_sequence(view, nullptr, options_.exhaustive_cap,
-                            view.received_sccs().members, enumerate);
+  return enumerate_sequence(view, options_.exhaustive_cap,
+                            view.received_sccs(), enumerate);
 }
 
 std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     const KnowledgeView& view) const {
   const WorkPoolScope scope(
       current_work_pool() == nullptr ? options_.parallel_eval : 0);
-  const auto enumerate = [this](const KnowledgeView& v, const EvalPads& pads,
+  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
                                 const IdSet& scc,
                                 std::vector<SinkCandidate>& out) {
     // Run-thread only, like the exhaustive twin above (see its comment).
@@ -529,19 +525,19 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     if (scc.size() > kStructuredEnumerationCap) {
       note_big_scc_fallback(scc.size(), kStructuredEnumerationCap);
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, pads, scc, options_.removal_cap,
+      enumerate_big_scc(v, memo, scc, options_.removal_cap,
                         options_.big_scc_samples, out);
       return;
     }
-    enumerate_structured(v, pads, scc, options_.removal_cap, out);
+    enumerate_structured(v, scc, options_.removal_cap, out);
   };
 
   if (options_.incremental) {
     return incremental_candidates(view, cache_key_, kStructuredEnumerationCap,
                                   enumerate);
   }
-  return enumerate_sequence(view, nullptr, kStructuredEnumerationCap,
-                            view.received_sccs().members, enumerate);
+  return enumerate_sequence(view, kStructuredEnumerationCap,
+                            view.received_sccs(), enumerate);
 }
 
 std::unique_ptr<SinkSearch> make_default_search() {

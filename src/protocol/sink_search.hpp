@@ -15,11 +15,16 @@
 //    members are mutually (f+1)-connected, and at most f Byzantine/silent
 //    processes perturb the component).
 //
-// Both strategies are *incremental* by default: they key a candidate cache
-// in the view's EvalScratch by SCC member set, so only components whose
+// Both strategies see only the SCCs of two or more members
+// (KnowledgeView::received_sccs(): a one-member component holds no S1 that
+// can pass P2) and evaluate the subsets of a component of at most
+// SplitKernel::kMaxMembers (63) members directly on its split kernel.
+// Both are *incremental* by default: they key a candidate cache in the
+// view's EvalScratch by SCC member set, so only components whose
 // membership changed since the last evaluation are re-enumerated (the
-// dirty-SCC mechanism), and within a re-enumerated component the per-S1
-// split memo answers every subset already seen. Candidate order — and
+// dirty-SCC mechanism), and within a re-enumerated component above 63
+// members — big-SCC certification, max-flow κ — the per-S1 split memo
+// answers every C or C \ D already costed. Candidate order — and
 // therefore every downstream decision — is bit-identical to a cold run;
 // `SearchOptions::incremental = false` bypasses every memo for A/B testing.
 //
@@ -64,8 +69,9 @@ struct SearchOptions {
   /// (content-addressed, via src/common/random — cup_lint R2 clean), so
   /// the candidate stream is a pure function of the view.
   std::size_t big_scc_samples = 24;
-  /// Reuse candidates of unchanged SCCs and memoized per-S1 splits across
-  /// evaluations (see file comment). Results are bit-identical either way.
+  /// Reuse candidates of unchanged SCCs, and memoized per-S1 splits of
+  /// components above 63 members, across evaluations (see file comment).
+  /// Results are bit-identical either way.
   bool incremental = true;
   /// Intra-evaluation worker count for direct library use of a strategy:
   /// candidates() installs a WorkPool of this many workers (0 = serial,

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "protocol/eval_cache.hpp"
@@ -59,29 +58,6 @@ class SplitKernel {
   std::vector<std::uint64_t> self_;    ///< per W entry: its own member bit
   std::vector<std::uint32_t> pd_begin_;  ///< per member: offset into pd_
   std::vector<std::uint32_t> pd_;        ///< W indices of each member's PD
-};
-
-/// The kernel of one SCC, built on first use so that an SCC whose every
-/// subset hits the split memo never pays for it. get() is null for SCCs
-/// above SplitKernel::kMaxMembers.
-class LazySplitKernel {
- public:
-  LazySplitKernel(const KnowledgeView& view, const IdSet& scc)
-      : view_(view), scc_(scc) {}
-
-  [[nodiscard]] const SplitKernel* get() {
-    if (!built_) {
-      built_ = true;
-      if (scc_.size() <= SplitKernel::kMaxMembers) kernel_.emplace(view_, scc_);
-    }
-    return kernel_ ? &*kernel_ : nullptr;
-  }
-
- private:
-  const KnowledgeView& view_;
-  const IdSet& scc_;
-  bool built_ = false;
-  std::optional<SplitKernel> kernel_;
 };
 
 }  // namespace bftcup::protocol

@@ -343,25 +343,23 @@ TEST(SplitKernelTest, SccKernelRoutingMatchesReferenceAtEverySize) {
   const KnowledgeView view = kernel_view(n, Shape::kComplete, 1.0, rng);
   const IdSet scc =
       members_of(64, ~0ULL).set_union(IdSet{member(64), member(65)});
-  LazySplitKernel lazy(view, scc);
-  EXPECT_EQ(lazy.get(), nullptr);
-  EXPECT_EQ(admissible_thresholds(view, scc, &lazy),
-            reference_splits(view, scc));
+  ASSERT_GT(scc.size(), SplitKernel::kMaxMembers);
+  EXPECT_EQ(admissible_thresholds(view, scc), reference_splits(view, scc));
   IdSet s1 = scc;
   s1.erase(member(0));
   s1.erase(member(5));
   s1.erase(member(64));
   ASSERT_EQ(s1.size(), SplitKernel::kMaxMembers);
-  EXPECT_EQ(admissible_thresholds(view, s1, &lazy),
-            reference_splits(view, s1));
+  EXPECT_EQ(admissible_thresholds(view, s1), reference_splits(view, s1));
 
-  // A component within the bound: its kernel answers every subset.
+  // A component within the bound: its kernel answers every subset, as the
+  // searches ask it (a mask of the component's members).
   const IdSet small = members_of(12, (1ULL << 12) - 1);
-  LazySplitKernel covered(view, small);
-  ASSERT_NE(covered.get(), nullptr);
+  const SplitKernel covered(view, small);
   const IdSet part = members_of(12, 0b101101110111);
-  EXPECT_EQ(admissible_thresholds(view, part, &covered),
+  EXPECT_EQ(covered.evaluate(covered.mask_of(part)).splits,
             reference_splits(view, part));
+  EXPECT_EQ(admissible_thresholds(view, part), reference_splits(view, part));
 }
 
 }  // namespace
